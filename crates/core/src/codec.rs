@@ -28,7 +28,7 @@
 //!     }
 //! }
 //! assert!(done);
-//! assert_eq!(decoder.source().unwrap(), source);
+//! assert_eq!(decoder.take_source().unwrap(), source);
 //! ```
 
 use crate::cascade::{Cascade, FinalCode};
@@ -178,7 +178,7 @@ impl TornadoCode {
             // By reference: only packets that advance decoding are cloned.
             decoder.add_packet_ref(*idx, payload)?;
         }
-        match decoder.source() {
+        match decoder.take_source() {
             Some(src) => Ok(src),
             None => Err(crate::TornadoError::NeedMorePackets {
                 received: decoder.received_distinct(),
@@ -272,7 +272,7 @@ mod tests {
         drop(borrowed);
         drop(code);
         assert!(owned.is_complete());
-        assert_eq!(owned.source().unwrap(), src);
+        assert_eq!(owned.take_source().unwrap(), src);
     }
 
     #[test]

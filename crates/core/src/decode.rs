@@ -174,7 +174,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     }
 
     /// Validate `index`, count the reception, and report whether the packet
-    /// is a duplicate.
+    /// is a duplicate (every packet is, once decoding is complete).
     fn register(&mut self, index: usize) -> Result<bool> {
         if index >= self.cascade.borrow().n() {
             return Err(TornadoError::MalformedInput {
@@ -185,7 +185,9 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
             });
         }
         self.received_total += 1;
-        Ok(self.values[index].is_some())
+        // A complete decoder has nothing left to learn (and may have handed
+        // its source packets out through `take_source`).
+        Ok(self.is_complete() || self.values[index].is_some())
     }
 
     /// Take ownership of a new packet's value and run peeling.
@@ -214,20 +216,15 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         Ok(self.is_complete())
     }
 
-    /// The recovered source packets, if decoding is complete.
-    pub fn source(&self) -> Option<Vec<S>> {
+    /// Move the recovered source packets out, if decoding is complete.  The
+    /// decoder stays complete but holds no source packets afterwards, so a
+    /// second call returns `None`.
+    pub fn take_source(&mut self) -> Option<Vec<S>> {
         if !self.is_complete() {
             return None;
         }
-        Some(
-            (0..self.cascade.borrow().k())
-                .map(|i| {
-                    self.values[i]
-                        .clone()
-                        .expect("complete decoder knows all source packets")
-                })
-                .collect(),
-        )
+        let k = self.cascade.borrow().k();
+        self.values[..k].iter_mut().map(Option::take).collect()
     }
 
     /// Set a packet value and run peeling to a fixed point.
@@ -474,7 +471,7 @@ mod tests {
             dec.add_packet(i, p.clone()).unwrap();
         }
         assert!(dec.is_complete());
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
     }
 
     #[test]
@@ -502,7 +499,7 @@ mod tests {
                 }
             }
             let used = used.expect("the full encoding must always decode");
-            assert_eq!(dec.source().unwrap(), src);
+            assert_eq!(dec.take_source().unwrap(), src);
             // Must finish well before the whole encoding has been consumed.
             assert!(
                 used < cascade.n(),
@@ -556,7 +553,7 @@ mod tests {
             }
         }
         assert_eq!(by_value.is_complete(), by_ref.is_complete());
-        assert_eq!(by_value.source(), by_ref.source());
+        assert_eq!(by_value.take_source(), by_ref.take_source());
         assert_eq!(by_value.received_total(), by_ref.received_total());
     }
 
@@ -568,14 +565,26 @@ mod tests {
     }
 
     #[test]
-    fn source_is_none_until_complete() {
+    fn source_is_none_until_complete_and_moves_out_once() {
         let cascade = Cascade::build(50, TORNADO_A, 6).unwrap();
         let src = random_source(50, 8, 6);
         let enc = encode_all(&cascade, &src);
         let mut dec = PayloadDecoder::new(&cascade);
         dec.add_packet(0, enc[0].clone()).unwrap();
-        assert!(dec.source().is_none());
+        assert!(dec.take_source().is_none());
         assert!(!dec.is_complete());
+        for (i, p) in enc.iter().enumerate().skip(1) {
+            dec.add_packet(i, p.clone()).unwrap();
+        }
+        assert_eq!(dec.take_source().unwrap(), src);
+        // The packets left the decoder: it stays complete, hands out
+        // nothing more, and treats every further packet as a duplicate.
+        assert!(dec.take_source().is_none());
+        assert_eq!(
+            dec.add_packet(0, enc[0].clone()).unwrap(),
+            AddOutcome::Duplicate
+        );
+        assert!(dec.is_complete());
     }
 
     #[test]
@@ -596,7 +605,7 @@ mod tests {
             .collect();
         let mut dec = PayloadDecoder::new(&cascade);
         assert!(dec.add_packets(batch).unwrap());
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
     }
 
     #[test]
@@ -625,7 +634,7 @@ mod tests {
             }
             assert_eq!(sym.is_complete(), pay.is_complete());
             assert_eq!(sym.received_distinct(), pay.received_distinct());
-            assert_eq!(pay.source().unwrap(), src);
+            assert_eq!(pay.take_source().unwrap(), src);
         }
     }
 
@@ -678,7 +687,7 @@ mod tests {
             dec.add_packet(i, enc[i].clone()).unwrap();
         }
         assert!(dec.is_complete());
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
         assert_eq!(dec.received_distinct(), k);
     }
 
@@ -707,7 +716,7 @@ mod tests {
                 }
             }
             prop_assert!(dec.is_complete());
-            prop_assert_eq!(dec.source().unwrap(), src);
+            prop_assert_eq!(dec.take_source().unwrap(), src);
         }
     }
 }

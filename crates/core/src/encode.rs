@@ -156,6 +156,6 @@ mod tests {
             }
         }
         assert!(dec.is_complete());
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
     }
 }

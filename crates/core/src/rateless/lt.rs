@@ -1,5 +1,5 @@
 //! The LT (Luby Transform) layer: a seed-addressed rateless encoder and the
-//! streaming peeling decoder that consumes its symbols.
+//! streaming decoder that consumes its symbols.
 //!
 //! The central contract is **seed → equation determinism**: a 64-bit symbol
 //! seed, run through a seeded [`ChaCha8Rng`], yields the same
@@ -10,21 +10,43 @@
 //! uses only integer PRNG output and CDF table lookups, it is bit-identical
 //! across the GF kernel tiers (`DF_GF_FORCE_TIER` does not touch it).
 //!
-//! The decoder is the same peeling idea as [`crate::PeelingDecoder`], adapted
-//! from a fixed bipartite graph to an unbounded stream of equations: each
-//! arriving symbol is reduced against already-known source symbols, released
-//! immediately if one unknown remains, or parked as a pending equation
-//! indexed by its unknowns.  Every recovered symbol propagates through the
-//! pending set worklist-style, exactly like `decode.rs` propagates through
-//! cascade checks.
+//! The decoder is inactivation decoding (RFC 6330 §5.4) run incrementally,
+//! one arrival at a time:
+//!
+//! * **Peeling is the fast path.**  Each arriving equation is reduced
+//!   against the symbols already solved, released at once if one unknown
+//!   remains, or parked as a pending equation indexed by its unknowns.  A
+//!   released symbol propagates through the pending set worklist-style,
+//!   exactly like `decode.rs` propagates through cascade checks.
+//! * **Inactivation breaks stalls.**  Once reception passes the engagement
+//!   gate (see [`LtDecoder::add_symbol`]), the decoder never leaves an
+//!   equation pending: while one is, it *inactivates* a column of the
+//!   sparsest pending equation, treating that symbol as a variable instead
+//!   of waiting for it.  Peeling then continues in terms of the inactive
+//!   columns — a peeled symbol carries its value plus a bitmask of the
+//!   inactive columns it still owes.
+//! * **A small dense system finishes the solve.**  An equation whose active
+//!   part empties (or a symbol released along two paths) becomes a row of a
+//!   GF(2) system over the inactive columns only.  The system is kept in
+//!   reduced row-echelon form as each row arrives, so the moment a column —
+//!   inactive or peeled — is determined by everything received, it is
+//!   committed.  Raptor's LT layer depends on that: at deficient rank it
+//!   still hands every determined intermediate to the precode.
+//!
+//! Payloads are XORed once per equation edge while peeling and once per
+//! (peeled symbol, inactive column) at back-substitution; all structural
+//! decisions are bitmask work, so the index-only [`crate::Mark`] decoder
+//! follows the identical schedule.
 //!
 //! Hostile-input posture: a forged seed cannot construct an invalid
 //! equation — the degree is sampled from the shared distribution and clamped
 //! to `1..=count`, and neighbors are distinct by construction — so the worst
-//! a flood of fresh seeds can do is grow the pending set.  The decoder
-//! exposes [`LtDecoder::pending_equations`] and [`LtDecoder::pending_edges`]
-//! so the protocol layer can bound that growth (see
-//! `df-proto`'s rateless receive path).
+//! a flood of fresh seeds can do is grow the pending set before the gate and
+//! force inactivations after it.  The decoder exposes
+//! [`LtDecoder::pending_equations`] and [`LtDecoder::pending_edges`] so the
+//! protocol layer can bound the first (see `df-proto`'s rateless receive
+//! path), and [`LtDecoder::inactivated`] and [`LtDecoder::dense_row_ops`] to
+//! observe the second.
 
 use crate::decode::AddOutcome;
 use crate::error::{Result, TornadoError};
@@ -36,52 +58,61 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Largest number of still-unknown source symbols the decoder will hand to
-/// the inactivation finisher.
+/// Largest number of still-unknown source symbols at which the decoder
+/// starts inactivating.
 ///
 /// Robust-soliton peeling at moderate `k` completes in a phase transition:
 /// recovery sits near zero (a few percent, from short degree-1 chains) until
 /// a critical reception count, then one arrival avalanches essentially every
 /// symbol at once — and the transition point has a fat upper tail (at
 /// `k = 1000` roughly a quarter of decodes need more than `1.15·k` symbols).
-/// The finisher removes that tail: once the reception count passes the
-/// engagement point (see [`LtDecoder::add_symbol`]) it solves the buffered
-/// equations directly by GF(2) Gaussian elimination — each row is a bitmask
-/// over the missing symbols, so a *failed* attempt costs only integer work
-/// and payloads are only XOR-combined once some unknowns are provably
-/// determined.  This is "inactivation decoding" as in the Raptor standards
-/// (RFC 5053 §5.5).
+/// Inactivation removes that tail: once the reception count passes the
+/// engagement point the decoder solves the buffered equations exactly
+/// instead of waiting for a degree-1 symbol to restart the ripple.
 ///
-/// Because the transition leaves nearly all of `k` unknown, the elimination
-/// is cubic-ish in `k` (`O(missing² · pending / 64)` bit operations) and the
-/// cap bounds that cost: at `k ≤ 2048` one attempt is a few milliseconds;
-/// beyond the cap the decoder stays purely linear-time peeling, which is the
-/// right trade anyway — the soliton transition *concentrates* as `k` grows,
-/// so large-`k` decodes do not need rescuing.
+/// The solver's dense state is one bit per (peeled symbol, inactive column)
+/// plus a GF(2) system over the inactive columns alone, so its cost follows
+/// the number of inactivations — a few dozen for an honest `k = 1000`
+/// stream.  A forged flood of maximum-degree equations can force up to one
+/// inactivation per unknown symbol, and the cap bounds that worst case to a
+/// `2048 × 2048` bit system.  Beyond the cap the decoder stays purely
+/// linear-time peeling, which is the right trade anyway: the soliton
+/// transition *concentrates* as `k` grows, so large-`k` decodes do not need
+/// rescuing.
 pub const INACTIVATION_CAP: usize = 2048;
 
-/// Arrivals to wait before re-running a failed (rank-deficient) elimination.
-const FINISHER_BACKOFF: u64 = 8;
+/// A set of inactive columns, one bit each: bit `j` is the `j`th column the
+/// decoder inactivated.  Words past the end read as zero, so a mask is only
+/// as wide as the highest column it names.
+type Mask = Vec<u64>;
 
-fn mask_set(m: &mut [u64], bit: usize) {
-    m[bit / 64] |= 1u64 << (bit % 64);
+fn mask_flip(m: &mut Mask, bit: usize) {
+    let word = bit / 64;
+    if m.len() <= word {
+        m.resize(word + 1, 0);
+    }
+    m[word] ^= 1u64 << (bit % 64);
 }
 
-fn mask_xor(dst: &mut [u64], src: &[u64]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
+fn mask_test(m: &[u64], bit: usize) -> bool {
+    m.get(bit / 64).is_some_and(|w| (w >> (bit % 64)) & 1 == 1)
+}
+
+fn mask_xor(dst: &mut Mask, src: &[u64]) {
+    if dst.len() < src.len() {
+        dst.resize(src.len(), 0);
+    }
+    for (d, s) in dst.iter_mut().zip(src) {
         *d ^= s;
     }
 }
 
-fn mask_lowest(m: &[u64]) -> Option<usize> {
-    m.iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
+fn mask_is_zero(m: &[u64]) -> bool {
+    m.iter().all(|&w| w == 0)
 }
 
-fn mask_popcount(m: &[u64]) -> usize {
-    m.iter().map(|w| w.count_ones() as usize).sum()
+fn mask_popcount(m: &[u64]) -> u32 {
+    m.iter().map(|w| w.count_ones()).sum()
 }
 
 fn mask_next_set(m: &[u64], from: usize) -> Option<usize> {
@@ -287,26 +318,61 @@ impl LtEncoder {
 /// A pending (not yet releasable) equation held by the decoder.
 #[derive(Debug, Clone)]
 struct PendingEq<S> {
-    /// Neighbor indices still unknown, in no particular order.
+    /// Active neighbors still unknown, in no particular order (at least two).
     unknowns: Vec<u32>,
-    /// Payload XOR-reduced by every already-known neighbor.
+    /// Inactive columns the equation still names (see [`Mask`]).
+    mask: Mask,
+    /// Payload XOR-reduced by every solved neighbor.
     acc: S,
 }
 
+/// Where one source symbol stands in the solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Column {
+    /// Named only by pending equations, if any.
+    Active,
+    /// The `j`th inactive column: a variable of the dense system.
+    Inactive(u32),
+    /// Peeled in terms of inactive columns: the symbol is its slot in
+    /// `values` XOR the inactive columns in its slot in `masks`.  Not yet
+    /// determined.
+    Peeled,
+    /// Determined: its slot in `values` holds the symbol.
+    Known,
+}
+
+/// One row of the dense system: the inactive columns in `mask` XOR to
+/// `value`.
+#[derive(Debug, Clone)]
+struct DenseRow<S> {
+    /// The row's pivot column; no other row has this bit set.
+    pivot: u32,
+    mask: Mask,
+    value: S,
+}
+
 /// Streaming LT decoder: accepts an unbounded stream of `(seed, payload)`
-/// symbols and peels source symbols out as equations release.
+/// symbols and recovers source symbols by peeling, inactivating columns
+/// when peeling stalls (see the module docs).
 ///
 /// Memory model: recovered symbols are `O(count)`; buffered equations are
 /// whatever the caller admits — check [`LtDecoder::pending_equations`] /
 /// [`LtDecoder::pending_edges`] *before* feeding a symbol to enforce a cap
 /// (the protocol layer rejects above `buffer_cap`, mirroring the carousel
-/// hardening).  Duplicate detection covers currently-pending seeds exactly;
-/// a seed whose equation was already consumed re-reduces to nothing and is
-/// absorbed without growing state.
+/// hardening).  Past the engagement gate nothing stays pending; the dense
+/// state is then `O(inactive² + peeled · inactive)` bits plus one payload
+/// per dense row, bounded through [`INACTIVATION_CAP`].  Duplicate detection
+/// covers currently-pending seeds exactly; a seed whose equation was already
+/// consumed re-reduces to a redundant row and is absorbed without growing
+/// state.
 #[derive(Debug, Clone)]
 pub struct LtDecoder<S: Symbol> {
     encoder: LtEncoder,
-    known: Vec<Option<S>>,
+    columns: Vec<Column>,
+    /// Per column: the symbol once known, the peeled value while peeled.
+    values: Vec<Option<S>>,
+    /// Per peeled column: the inactive columns its value still owes.
+    masks: Vec<Mask>,
     known_count: usize,
     pending: HashMap<u64, PendingEq<S>>,
     pending_edges: usize,
@@ -319,14 +385,25 @@ pub struct LtDecoder<S: Symbol> {
     newly: Vec<u32>,
     received_total: u64,
     received_distinct: u64,
-    /// Distinct-reception count before which the finisher will not re-run
-    /// after a rank-deficient attempt (each new equation typically adds one
-    /// rank, so retrying every arrival would repeat the same near-miss).
-    next_finisher_attempt: u64,
-    /// Distinct-reception threshold at which the finisher engages.
+    /// Distinct-reception threshold at which inactivation engages.
     /// Defaults to `count + count/8` (peeling-first); Raptor lowers it to
-    /// `count` via [`LtDecoder::engage_finisher_eagerly`].
-    finisher_gate: usize,
+    /// `count` via [`LtDecoder::engage_inactivation_eagerly`].
+    gate: usize,
+    /// Set once the gate has passed with at most [`INACTIVATION_CAP`]
+    /// unknowns; from then on no equation stays pending.
+    engaged: bool,
+    /// `j` → source index of the `j`th inactive column.
+    inactive: Vec<u32>,
+    /// The dense system over the inactive columns, in reduced row-echelon
+    /// form: each row's pivot bit is clear in every other row.
+    dense: Vec<DenseRow<S>>,
+    /// `j` → the dense row whose pivot is inactive column `j`.
+    pivot_row: Vec<Option<u32>>,
+    /// Peeled, undetermined columns with their masks reduced against
+    /// `dense` (only non-pivot bits left): a peeled column is determined
+    /// exactly when its reduced mask is zero.
+    peeled: Vec<(u32, Mask)>,
+    dense_row_ops: u64,
 }
 
 impl<S: Symbol> LtDecoder<S> {
@@ -335,7 +412,9 @@ impl<S: Symbol> LtDecoder<S> {
         let count = encoder.count();
         LtDecoder {
             encoder,
-            known: vec![None; count],
+            columns: vec![Column::Active; count],
+            values: vec![None; count],
+            masks: vec![Mask::new(); count],
             known_count: 0,
             pending: HashMap::new(),
             pending_edges: 0,
@@ -343,26 +422,31 @@ impl<S: Symbol> LtDecoder<S> {
             newly: Vec::new(),
             received_total: 0,
             received_distinct: 0,
-            next_finisher_attempt: 0,
-            finisher_gate: count + count / 8,
+            gate: count + count / 8,
+            engaged: false,
+            inactive: Vec::new(),
+            dense: Vec::new(),
+            pivot_row: Vec::new(),
+            peeled: Vec::new(),
+            dense_row_ops: 0,
         }
     }
 
-    /// Engage the inactivation finisher as soon as reception reaches the
-    /// symbol count itself, rather than waiting out the peeling transition.
+    /// Engage inactivation as soon as reception reaches the symbol count
+    /// itself, rather than waiting out the peeling transition.
     ///
     /// This is how [`crate::RaptorDecoder`] runs its LT layer: standard
     /// Raptor decoding is elimination-led ("inactivation decoding",
-    /// RFC 5053 §5.5) — the precode repairs whatever the elimination leaves
+    /// RFC 6330 §5.4) — the precode repairs whatever the elimination leaves
     /// undetermined, so there is no reason to wait for the soliton avalanche
     /// plain LT needs.
-    pub fn engage_finisher_eagerly(&mut self) {
-        self.finisher_gate = self.count();
+    pub fn engage_inactivation_eagerly(&mut self) {
+        self.gate = self.count();
     }
 
     /// Number of source symbols.
     pub fn count(&self) -> usize {
-        self.known.len()
+        self.columns.len()
     }
 
     /// The shared encoder (seed → equation derivation).
@@ -377,7 +461,7 @@ impl<S: Symbol> LtDecoder<S> {
 
     /// True once every source symbol is recovered.
     pub fn is_complete(&self) -> bool {
-        self.known_count == self.known.len()
+        self.known_count == self.columns.len()
     }
 
     /// Symbols accepted, including duplicates.
@@ -402,9 +486,27 @@ impl<S: Symbol> LtDecoder<S> {
         self.pending_edges
     }
 
+    /// Columns inactivated so far — one solver work counter.  At most
+    /// `count`, and each one costs at most one pass over the pending
+    /// equations that name it.
+    pub fn inactivated(&self) -> usize {
+        self.inactive.len()
+    }
+
+    /// Dense-system row operations so far — the other solver work counter:
+    /// one per stored row XORed into an arriving row or into another stored
+    /// row.  Each equation becomes at most one dense row, and inserting a
+    /// row costs at most two operations per inactive column.
+    pub fn dense_row_ops(&self) -> u64 {
+        self.dense_row_ops
+    }
+
     /// The recovered symbol at `index`, if known.
     pub fn symbol(&self, index: usize) -> Option<&S> {
-        self.known.get(index).and_then(|s| s.as_ref())
+        match self.columns.get(index) {
+            Some(Column::Known) => self.values[index].as_ref(),
+            _ => None,
+        }
     }
 
     /// Indices recovered since the last drain (in recovery order).
@@ -412,12 +514,14 @@ impl<S: Symbol> LtDecoder<S> {
         std::mem::take(&mut self.newly)
     }
 
-    /// All source symbols, once complete.
-    pub fn source(&self) -> Option<Vec<S>> {
+    /// Move every source symbol out, once complete.  The decoder stays
+    /// complete but holds no symbols afterwards, so a second call (or
+    /// [`LtDecoder::symbol`]) returns `None`.
+    pub fn take_source(&mut self) -> Option<Vec<S>> {
         if !self.is_complete() {
             return None;
         }
-        Some(self.known.iter().filter_map(|s| s.clone()).collect())
+        self.values.iter_mut().map(Option::take).collect()
     }
 
     /// Accept one `(seed, payload)` symbol.
@@ -426,241 +530,189 @@ impl<S: Symbol> LtDecoder<S> {
     /// equation (or decoding already finished), [`AddOutcome::Complete`] when
     /// this symbol finishes decoding, [`AddOutcome::Accepted`] otherwise.
     ///
+    /// Inactivation engages once distinct reception reaches the gate —
+    /// `count + count/8` symbols for plain LT, past the robust soliton's
+    /// expected peeling transition (`β·k` plus finite-k margin), so peeling
+    /// settles the typical decode and inactivation only rescues
+    /// transition-tail trials; `count` for Raptor
+    /// ([`LtDecoder::engage_inactivation_eagerly`]), whose completion is
+    /// elimination-led by design.  From then on every arrival is solved
+    /// exactly: [`LtDecoder::known`] counts every symbol the received
+    /// equations determine.
+    ///
     /// All payloads must share one length; the protocol layer enforces this
     /// before the symbol reaches the decoder (mixed lengths would make the
     /// XOR reduction meaningless).
     pub fn add_symbol(&mut self, seed: u64, value: S) -> AddOutcome {
         self.received_total += 1;
-        if self.is_complete() {
-            return AddOutcome::Duplicate;
-        }
-        if self.pending.contains_key(&seed) {
+        if self.is_complete() || self.pending.contains_key(&seed) {
             return AddOutcome::Duplicate;
         }
         self.received_distinct += 1;
 
         let eq = self.encoder.equation(seed);
-        let mut acc = value;
         let mut unknowns: Vec<u32> = Vec::new();
+        let mut mask = Mask::new();
         for &idx in &eq.neighbors {
-            match &self.known[idx as usize] {
-                Some(k) => acc.xor(k),
-                None => unknowns.push(idx),
+            match self.columns[idx as usize] {
+                Column::Active => unknowns.push(idx),
+                Column::Inactive(j) => mask_flip(&mut mask, j as usize),
+                Column::Peeled => mask_xor(&mut mask, &self.masks[idx as usize]),
+                Column::Known => {}
             }
         }
-        match unknowns.len() {
-            // Every neighbor already known: the equation carries no new
-            // information; absorb it without growing state.
-            0 => {}
-            1 => {
-                let idx = unknowns[0];
-                self.resolve(idx, acc);
-            }
-            _ => {
-                for &idx in &unknowns {
-                    self.by_symbol[idx as usize].push(seed);
+        // With no unknown left the equation is a dense row; skip its payload
+        // work when that row carries nothing new.
+        if !unknowns.is_empty() || !self.is_redundant(&mask) {
+            let mut acc = value;
+            for &idx in &eq.neighbors {
+                if let Some(v) = &self.values[idx as usize] {
+                    acc.xor(v);
                 }
-                self.pending_edges += unknowns.len();
-                self.pending.insert(seed, PendingEq { unknowns, acc });
+            }
+            match unknowns.len() {
+                0 => self.add_dense_row(mask, acc),
+                1 => self.resolve(vec![(unknowns[0], acc, mask)]),
+                n => {
+                    for &idx in &unknowns {
+                        self.by_symbol[idx as usize].push(seed);
+                    }
+                    self.pending_edges += n;
+                    self.pending.insert(
+                        seed,
+                        PendingEq {
+                            unknowns,
+                            mask,
+                            acc,
+                        },
+                    );
+                }
             }
         }
-        if !self.is_complete()
-            && self.finisher_engaged()
-            && self.received_distinct >= self.next_finisher_attempt
+        if !self.engaged
+            && !self.is_complete()
+            && self.received_distinct as usize >= self.gate
+            && self.count() - self.known_count <= INACTIVATION_CAP
         {
-            self.try_inactivation();
+            self.engaged = true;
+        }
+        if self.engaged {
+            self.inactivate_stalls();
         }
         if self.is_complete() {
+            // The solve is over: drop its scratch state.
+            self.dense = Vec::new();
+            self.peeled = Vec::new();
             AddOutcome::Complete
         } else {
             AddOutcome::Accepted
         }
     }
 
-    /// Whether the inactivation finisher may run yet.
+    /// Inactivate columns until no equation is pending.
     ///
-    /// Plain-LT decoders defer engagement until reception passes
-    /// `count + count/8` symbols — past the robust soliton's expected peeling
-    /// transition (`β·k` plus finite-k margin) — so the linear-time peeling
-    /// path settles the typical decode and elimination only rescues
-    /// transition-tail trials.  Raptor decoders lower the gate to `count`
-    /// ([`LtDecoder::engage_finisher_eagerly`]): their completion is
-    /// elimination-led by design.
-    fn finisher_engaged(&self) -> bool {
-        self.received_distinct as usize >= self.finisher_gate
+    /// Each round takes the sparsest pending equation — one with two
+    /// unknowns whenever there is one, as RFC 6330's first phase does — and
+    /// inactivates its most-referenced unknown until the equation releases
+    /// its last one.  Inactivating the column most pending equations name
+    /// shrinks the most of them at once.
+    fn inactivate_stalls(&mut self) {
+        while let Some(seed) = self.next_stall() {
+            while let Some(eq) = self.pending.get(&seed) {
+                let by_symbol = &self.by_symbol;
+                let Some(&col) = eq
+                    .unknowns
+                    .iter()
+                    .max_by_key(|&&u| (by_symbol[u as usize].len(), u))
+                else {
+                    break;
+                };
+                self.inactivate(col);
+            }
+        }
     }
 
-    /// Bounded-inactivation finisher: once at most [`INACTIVATION_CAP`]
-    /// source symbols remain unknown, solve the buffered equations directly
-    /// by GF(2) elimination instead of waiting for the peeling ripple to
-    /// reach them.
-    ///
-    /// Every buffered equation's unknowns are a subset of the missing set
-    /// (peeling reduces eagerly), so each equation is one bitmask row over
-    /// the missing columns.  The elimination runs to *reduced* row-echelon
-    /// form and commits every unknown that is uniquely determined — a pivot
-    /// row whose only remaining bit is its own column — even when the system
-    /// as a whole is rank-deficient.  Partial commits are what make the
-    /// Raptor path work: a fixed-degree-table LT layer always leaves a few
-    /// intermediates uncovered by every received equation, and the precode
-    /// repairs exactly those, so demanding full rank would wait forever.
-    ///
-    /// A mask-only pass runs first; payloads are cloned and XOR-combined
-    /// only when at least one unknown is provably determined, so a failed
-    /// attempt costs integer work and no payload traffic.
-    fn try_inactivation(&mut self) -> bool {
-        let missing_count = self.known.len() - self.known_count;
-        if missing_count == 0 || missing_count > INACTIVATION_CAP {
-            return false;
-        }
-        // Even a partial solve needs roughly as many independent equations
-        // as unknowns (the slack covers uncovered columns); skip the attempt
-        // cheaply when the buffer cannot possibly deliver that.
-        if self.pending.len() + 64 < missing_count {
-            return false;
-        }
-        let missing: Vec<u32> = (0..self.known.len() as u32)
-            .filter(|&i| self.known[i as usize].is_none())
-            .collect();
-        let words = missing_count.div_ceil(64);
-        let col_of = |idx: u32| -> usize {
-            // `missing` is sorted ascending by construction; every pending
-            // unknown is in it (peeling keeps equations reduced).
-            missing.partition_point(|&m| m < idx)
-        };
-        let row_of = |unknowns: &[u32]| -> Vec<u64> {
-            let mut mask = vec![0u64; words];
-            for &idx in unknowns {
-                mask_set(&mut mask, col_of(idx));
-            }
-            mask
-        };
-        // Rows beyond this many cannot be needed for a solve; any solution
-        // derived from a subset of the (consistent) equations is valid, so
-        // truncating a flood-sized buffer only defers, never corrupts.
-        let row_cap = missing_count + 512;
-
-        // Pass 1: masks only.  Forward-eliminate into one pivot row per
-        // column, then reduce to RREF from the highest pivot down (every
-        // higher pivot a row references is already fully reduced — a single
-        // bit plus free columns — when it is folded in).  Bail without
-        // touching payloads unless some unknown came out determined.
-        let mut pivot_mask: Vec<Option<Vec<u64>>> = vec![None; missing_count];
-        let mut rank = 0usize;
-        for eq in self.pending.values().take(row_cap) {
-            let mut mask = row_of(&eq.unknowns);
-            while let Some(c) = mask_lowest(&mask) {
-                match &pivot_mask[c] {
-                    Some(pm) => mask_xor(&mut mask, pm),
-                    None => {
-                        pivot_mask[c] = Some(mask);
-                        rank += 1;
-                        break;
-                    }
-                }
-            }
-            if rank == missing_count {
-                break;
-            }
-        }
-        let mut determined = 0usize;
-        for c in (0..missing_count).rev() {
-            let Some(mut mask) = pivot_mask[c].take() else {
-                continue;
-            };
-            let mut h = c;
-            while let Some(b) = mask_next_set(&mask, h + 1) {
-                if let Some(pm) = &pivot_mask[b] {
-                    // Folding in row `b` clears bit `b` and can only set
-                    // free (pivotless) bits above it, so the ascending scan
-                    // terminates.
-                    mask_xor(&mut mask, pm);
-                }
-                h = b;
-            }
-            if mask_popcount(&mask) == 1 {
-                determined += 1;
-            }
-            pivot_mask[c] = Some(mask);
-        }
-        if determined == 0 {
-            self.next_finisher_attempt = self.received_distinct + FINISHER_BACKOFF;
-            return false;
-        }
-
-        // Pass 2: repeat the identical elimination carrying payloads — the
-        // pending map was not touched, so iteration order and hence the
-        // pivot structure match pass 1 exactly — then commit every
-        // single-bit row through the ordinary peeling propagation (which
-        // also re-reduces the surviving pending equations).
-        let mut pivots: Vec<Option<(Vec<u64>, S)>> = (0..missing_count).map(|_| None).collect();
-        let mut placed = 0usize;
-        for eq in self.pending.values().take(row_cap) {
-            let mut mask = row_of(&eq.unknowns);
-            let mut acc = eq.acc.clone();
-            while let Some(c) = mask_lowest(&mask) {
-                match &pivots[c] {
-                    Some((pm, pa)) => {
-                        mask_xor(&mut mask, pm);
-                        acc.xor(pa);
-                    }
-                    None => {
-                        pivots[c] = Some((mask, acc));
-                        placed += 1;
-                        break;
-                    }
-                }
-            }
-            if placed == rank {
-                break;
-            }
-        }
-        let mut recovered: Vec<(u32, S)> = Vec::with_capacity(determined);
-        for c in (0..missing_count).rev() {
-            let Some((mut mask, mut acc)) = pivots[c].take() else {
-                continue;
-            };
-            let mut h = c;
-            while let Some(b) = mask_next_set(&mask, h + 1) {
-                if let Some((pm, pa)) = &pivots[b] {
-                    mask_xor(&mut mask, pm);
-                    acc.xor(pa);
-                }
-                h = b;
-            }
-            if mask_popcount(&mask) == 1 {
-                recovered.push((missing[c], acc.clone()));
-            }
-            pivots[c] = Some((mask, acc));
-        }
-        if recovered.is_empty() {
-            // Unreachable given pass 1, but degrade gracefully.
-            self.next_finisher_attempt = self.received_distinct + FINISHER_BACKOFF;
-            return false;
-        }
-        for (idx, value) in recovered {
-            self.resolve(idx, value);
-        }
-        true
+    /// The next pending equation to break open: the sparsest, lowest seed
+    /// on ties, so the schedule depends on the received equations alone and
+    /// not on hash order.
+    fn next_stall(&self) -> Option<u64> {
+        self.pending
+            .iter()
+            .min_by_key(|(&seed, eq)| (eq.unknowns.len(), seed))
+            .map(|(&seed, _)| seed)
     }
 
-    /// Worklist propagation: record `idx = value`, then reduce every pending
-    /// equation that listed `idx`, releasing any that reach one unknown —
-    /// the streaming analogue of `PeelingDecoder::propagate`.
-    fn resolve(&mut self, idx: u32, value: S) {
-        let mut worklist = vec![(idx, value)];
-        while let Some((idx, value)) = worklist.pop() {
-            let slot = &mut self.known[idx as usize];
-            if slot.is_some() {
-                // Recovered along two paths (e.g. two equations released on
-                // the same symbol in one cascade); first value wins.
+    /// Make `idx` the next inactive column: drop it from every pending
+    /// equation (which now names it in its mask instead) and peel whatever
+    /// that releases.
+    fn inactivate(&mut self, idx: u32) {
+        let j = self.inactive.len();
+        self.inactive.push(idx);
+        self.pivot_row.push(None);
+        self.columns[idx as usize] = Column::Inactive(j as u32);
+        let mut released = Vec::new();
+        for seed in std::mem::take(&mut self.by_symbol[idx as usize]) {
+            let Entry::Occupied(mut entry) = self.pending.entry(seed) else {
                 continue;
+            };
+            let eq = entry.get_mut();
+            let Some(pos) = eq.unknowns.iter().position(|&u| u == idx) else {
+                continue;
+            };
+            eq.unknowns.swap_remove(pos);
+            self.pending_edges -= 1;
+            mask_flip(&mut eq.mask, j);
+            if eq.unknowns.len() == 1 {
+                let eq = entry.remove();
+                self.pending_edges -= 1;
+                released.push((eq.unknowns[0], eq.acc, eq.mask));
             }
-            *slot = Some(value);
-            self.known_count += 1;
-            self.newly.push(idx);
+        }
+        self.resolve(released);
+    }
 
-            for seed in std::mem::take(&mut self.by_symbol[idx as usize]) {
+    /// Worklist propagation: solve each `(idx, value, mask)` — the symbol at
+    /// `idx` is `value` XOR the inactive columns in `mask` — then reduce
+    /// every pending equation that listed `idx`, releasing any that reach
+    /// one unknown.  The streaming analogue of `PeelingDecoder::propagate`.
+    ///
+    /// A symbol released a second time yields a dense row: its two
+    /// expressions must agree, which constrains the inactive columns.
+    fn resolve(&mut self, mut worklist: Vec<(u32, S, Mask)>) {
+        while let Some((idx, mut value, mut mask)) = worklist.pop() {
+            let i = idx as usize;
+            match self.columns[i] {
+                Column::Active => {}
+                column => {
+                    match column {
+                        Column::Inactive(j) => mask_flip(&mut mask, j as usize),
+                        _ => mask_xor(&mut mask, &self.masks[i]),
+                    }
+                    if !self.is_redundant(&mask) {
+                        if let Some(v) = &self.values[i] {
+                            value.xor(v);
+                        }
+                        self.add_dense_row(mask, value);
+                    }
+                    continue;
+                }
+            }
+            if mask_is_zero(&mask) {
+                self.commit(idx, value);
+            } else {
+                let mut reduced = mask.clone();
+                self.reduce_mask(&mut reduced);
+                self.columns[i] = Column::Peeled;
+                self.values[i] = Some(value);
+                self.masks[i] = mask;
+                if mask_is_zero(&reduced) {
+                    let value = self.back_substitute(idx);
+                    self.commit(idx, value);
+                } else {
+                    self.peeled.push((idx, reduced));
+                }
+            }
+            for seed in std::mem::take(&mut self.by_symbol[i]) {
                 let Entry::Occupied(mut entry) = self.pending.entry(seed) else {
                     continue; // stale reference to an already-released equation
                 };
@@ -670,15 +722,131 @@ impl<S: Symbol> LtDecoder<S> {
                 };
                 eq.unknowns.swap_remove(pos);
                 self.pending_edges -= 1;
-                // The freshly-set slot always holds a value here.
-                if let Some(known) = &self.known[idx as usize] {
-                    eq.acc.xor(known);
+                // The freshly solved slot always holds a value here.
+                if let Some(v) = &self.values[i] {
+                    eq.acc.xor(v);
                 }
+                mask_xor(&mut eq.mask, &self.masks[i]);
                 if eq.unknowns.len() == 1 {
                     let eq = entry.remove();
                     self.pending_edges -= 1;
-                    worklist.push((eq.unknowns[0], eq.acc));
+                    worklist.push((eq.unknowns[0], eq.acc, eq.mask));
                 }
+            }
+        }
+    }
+
+    /// Record `idx` as determined with `value`.
+    fn commit(&mut self, idx: u32, value: S) {
+        let i = idx as usize;
+        self.columns[i] = Column::Known;
+        self.values[i] = Some(value);
+        self.masks[i] = Mask::new();
+        self.known_count += 1;
+        self.newly.push(idx);
+    }
+
+    /// The value of peeled column `idx` once its mask lies in the span of
+    /// the dense rows: the mask is then exactly the sum of the rows whose
+    /// pivots it names, so XOR in those rows' values — one payload XOR per
+    /// (symbol, inactive column).
+    fn back_substitute(&mut self, idx: u32) -> S {
+        let i = idx as usize;
+        let mut value = self.values[i]
+            .take()
+            .expect("a peeled column holds its peeled value");
+        let mut from = 0;
+        while let Some(j) = mask_next_set(&self.masks[i], from) {
+            if let Some(r) = self.pivot_row[j] {
+                value.xor(&self.dense[r as usize].value);
+            }
+            from = j + 1;
+        }
+        value
+    }
+
+    /// Reduce `mask` against the dense rows, leaving only non-pivot bits.
+    fn reduce_mask(&self, mask: &mut Mask) {
+        let mut from = 0;
+        while let Some(j) = mask_next_set(mask, from) {
+            // Folding in row `r` clears bit `j` and touches only non-pivot
+            // bits (the system is reduced), so the pivot bits still ahead
+            // of the scan are exactly the ones it started with.
+            if let Some(r) = self.pivot_row[j] {
+                mask_xor(mask, &self.dense[r as usize].mask);
+            }
+            from = j + 1;
+        }
+    }
+
+    /// True when a dense row over `mask` would add nothing: `mask` lies in
+    /// the span of the rows already held (for a consistent stream, the
+    /// payload then agrees too).
+    fn is_redundant(&self, mask: &Mask) -> bool {
+        if mask_is_zero(mask) {
+            return true;
+        }
+        let mut reduced = mask.clone();
+        self.reduce_mask(&mut reduced);
+        mask_is_zero(&reduced)
+    }
+
+    /// Add the row "the inactive columns in `mask` XOR to `value`" to the
+    /// dense system, keep it reduced, and commit every column the new row
+    /// determines: inactive columns whose row is down to its pivot, and
+    /// peeled columns whose reduced mask empties.
+    fn add_dense_row(&mut self, mut mask: Mask, mut value: S) {
+        let mut from = 0;
+        while let Some(j) = mask_next_set(&mask, from) {
+            if let Some(r) = self.pivot_row[j] {
+                let row = &self.dense[r as usize];
+                mask_xor(&mut mask, &row.mask);
+                value.xor(&row.value);
+                self.dense_row_ops += 1;
+            }
+            from = j + 1;
+        }
+        let Some(pivot) = mask_next_set(&mask, 0) else {
+            return; // in the span of the rows already held
+        };
+        let mut determined = Vec::new();
+        for (r, row) in self.dense.iter_mut().enumerate() {
+            if mask_test(&row.mask, pivot) {
+                mask_xor(&mut row.mask, &mask);
+                row.value.xor(&value);
+                self.dense_row_ops += 1;
+                if mask_popcount(&row.mask) == 1 {
+                    determined.push(r);
+                }
+            }
+        }
+        for (_, reduced) in &mut self.peeled {
+            if mask_test(reduced, pivot) {
+                mask_xor(reduced, &mask);
+            }
+        }
+        if mask_popcount(&mask) == 1 {
+            determined.push(self.dense.len());
+        }
+        self.pivot_row[pivot] = Some(self.dense.len() as u32);
+        self.dense.push(DenseRow {
+            pivot: pivot as u32,
+            mask,
+            value,
+        });
+        for r in determined {
+            let row = &self.dense[r];
+            let (idx, value) = (self.inactive[row.pivot as usize], row.value.clone());
+            self.commit(idx, value);
+        }
+        let mut n = 0;
+        while n < self.peeled.len() {
+            if mask_is_zero(&self.peeled[n].1) {
+                let (idx, _) = self.peeled.swap_remove(n);
+                let value = self.back_substitute(idx);
+                self.commit(idx, value);
+            } else {
+                n += 1;
             }
         }
     }
@@ -688,6 +856,7 @@ impl<S: Symbol> LtDecoder<S> {
 mod tests {
     use super::*;
     use crate::symbol::Mark;
+    use proptest::prelude::*;
     use rand::RngCore;
 
     fn payloads(count: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -769,7 +938,10 @@ mod tests {
             seed += 1;
             assert!(seed < 10 * k as u64, "decode did not converge");
         }
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
+        // The symbols moved out: nothing is handed out twice.
+        assert!(dec.take_source().is_none());
+        assert!(dec.is_complete());
     }
 
     #[test]
@@ -808,7 +980,7 @@ mod tests {
             assert!(seed < 20 * k as u64, "decode did not converge");
         }
         assert!(marks.is_complete());
-        assert_eq!(payload.source().unwrap(), src);
+        assert_eq!(payload.take_source().unwrap(), src);
     }
 
     #[test]
@@ -837,7 +1009,7 @@ mod tests {
     }
 
     #[test]
-    fn inactivation_finisher_solves_peeling_stalls() {
+    fn inactivation_solves_peeling_stalls() {
         let k = 3;
         let src = payloads(k, 8, 21);
         let enc = LtEncoder::new(k, 0.03, 0.5, 21).unwrap();
@@ -860,17 +1032,17 @@ mod tests {
         assert_eq!(b, AddOutcome::Accepted);
         assert_eq!(dec.known(), 0, "no degree-1 equation arrived yet");
         // No degree-1 equation ever arrives, so pure peeling would stall
-        // forever on this stream.  The third (independent) equation gives the
-        // bounded-inactivation finisher a full-rank 3x3 GF(2) system.
+        // forever on this stream.  The third (independent) equation reaches
+        // the gate and makes the system full rank; inactivation solves it.
         let c = dec.add_symbol(s012, enc.encode_symbol(s012, &src).unwrap());
         assert_eq!(c, AddOutcome::Complete);
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
         assert_eq!(dec.pending_equations(), 0);
         assert_eq!(dec.pending_edges(), 0);
     }
 
     #[test]
-    fn eager_finisher_commits_determined_unknowns_at_deficient_rank() {
+    fn eager_inactivation_commits_determined_unknowns_at_deficient_rank() {
         // Raptor's regime: one symbol (here index 2) is covered by no
         // received equation, so the system can never reach full rank — but
         // the other unknowns are still uniquely determined and must be
@@ -893,7 +1065,7 @@ mod tests {
         let s13 = find(&[1, 3]);
         // A second, independent seed with the same [0,1] equation: linearly
         // redundant, but it lifts distinct reception to the eager gate
-        // (`count`) so the finisher may run.
+        // (`count`) so inactivation engages.
         let s01b = ((s01 + 1)..400_000u64)
             .find(|&s| {
                 let mut n = enc.equation(s).neighbors.clone();
@@ -902,7 +1074,7 @@ mod tests {
             })
             .expect("second seed with [0,1]");
         let mut dec = LtDecoder::new(enc.clone());
-        dec.engage_finisher_eagerly();
+        dec.engage_inactivation_eagerly();
         dec.add_symbol(s01, enc.encode_symbol(s01, &src).unwrap());
         dec.add_symbol(s013, enc.encode_symbol(s013, &src).unwrap());
         dec.add_symbol(s13, enc.encode_symbol(s13, &src).unwrap());
@@ -921,5 +1093,157 @@ mod tests {
         let enc = LtEncoder::new(10, 0.03, 0.5, 0).unwrap();
         let src = payloads(9, 8, 0);
         assert!(enc.encode_symbol(0, &src).is_err());
+    }
+
+    /// Brute-force GF(2) rank oracle for `count ≤ 64` columns: every received
+    /// equation as one `u64` row, kept in reduced row-echelon form.
+    #[derive(Default)]
+    struct RankOracle {
+        rows: Vec<u64>,
+    }
+
+    impl RankOracle {
+        fn add(&mut self, neighbors: &[u32]) {
+            let mut row = neighbors.iter().fold(0u64, |m, &i| m ^ (1 << i));
+            for &r in &self.rows {
+                if row & (1 << r.trailing_zeros()) != 0 {
+                    row ^= r;
+                }
+            }
+            if row == 0 {
+                return;
+            }
+            let pivot = 1u64 << row.trailing_zeros();
+            for r in &mut self.rows {
+                if *r & pivot != 0 {
+                    *r ^= row;
+                }
+            }
+            self.rows.push(row);
+        }
+
+        fn rank(&self) -> usize {
+            self.rows.len()
+        }
+
+        /// Columns the equations pin down: exactly the rows reduced to a
+        /// single bit.
+        fn determined(&self) -> u64 {
+            self.rows
+                .iter()
+                .filter(|r| r.count_ones() == 1)
+                .fold(0, |m, r| m | r)
+        }
+    }
+
+    /// Feed `arrivals` seeds from `enc` to a payload and a `Mark` decoder
+    /// (both built by `make`) and check them against the rank oracle after
+    /// every arrival.  Returns the arrival index at which decoding completed.
+    fn check_against_oracle(
+        enc: &LtEncoder,
+        make: impl Fn() -> (LtDecoder<Vec<u8>>, LtDecoder<Mark>),
+        gate: usize,
+        first_seed: u64,
+        arrivals: usize,
+    ) -> std::result::Result<Option<usize>, TestCaseError> {
+        let count = enc.count();
+        let src = payloads(count, 12, first_seed);
+        let (mut payload, mut marks) = make();
+        let mut oracle = RankOracle::default();
+        let mut completed = None;
+        for t in 0..arrivals {
+            let seed = first_seed.wrapping_add(t as u64);
+            oracle.add(&enc.equation(seed).neighbors);
+            let a = payload.add_symbol(seed, enc.encode_symbol(seed, &src).unwrap());
+            let b = marks.add_symbol(seed, Mark);
+            prop_assert_eq!(a, b, "schedules diverged at arrival {}", t);
+            prop_assert_eq!(payload.known(), marks.known());
+            let determined = oracle.determined();
+            prop_assert!(payload.known() <= determined.count_ones() as usize);
+            if t + 1 >= gate {
+                prop_assert_eq!(
+                    payload.known(),
+                    determined.count_ones() as usize,
+                    "arrival {} past the gate left determined columns uncommitted",
+                    t
+                );
+            }
+            for (i, want) in src.iter().enumerate() {
+                let pinned = determined >> i & 1 == 1;
+                match payload.symbol(i) {
+                    Some(got) => {
+                        prop_assert!(pinned, "column {} committed but undetermined", i);
+                        prop_assert_eq!(got, want);
+                    }
+                    None => prop_assert!(t + 1 < gate || !pinned),
+                }
+            }
+            if a == AddOutcome::Complete {
+                prop_assert_eq!(oracle.rank(), count);
+                completed = Some(t);
+                break;
+            }
+            if t + 1 >= gate {
+                prop_assert!(
+                    oracle.rank() < count,
+                    "full rank at arrival {} but not complete",
+                    t
+                );
+            }
+        }
+        if completed.is_some() {
+            prop_assert_eq!(payload.take_source().unwrap(), src);
+        }
+        Ok(completed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Plain LT: past the gate the decoder commits exactly the columns
+        /// the received equations determine, and completes at the first
+        /// full-rank arrival (or at the gate, if rank was full before it).
+        #[test]
+        fn prop_lt_commits_exactly_what_the_equations_determine(
+            count in 2usize..=64,
+            stream in any::<u64>(),
+            first_seed in any::<u64>(),
+        ) {
+            let enc = LtEncoder::new(count, 0.03, 0.5, stream).unwrap();
+            let gate = count + count / 8;
+            let done = check_against_oracle(
+                &enc,
+                || (LtDecoder::new(enc.clone()), LtDecoder::new(enc.clone())),
+                gate,
+                first_seed,
+                20 * count,
+            )?;
+            prop_assert!(done.is_some(), "LT decode did not converge");
+        }
+
+        /// The Raptor LT layer (fixed degree table, eager gate): partial
+        /// commits at deficient rank match the oracle column for column.
+        #[test]
+        fn prop_raptor_lt_layer_commits_exactly_what_the_equations_determine(
+            count in 2usize..=64,
+            stream in any::<u64>(),
+            first_seed in any::<u64>(),
+        ) {
+            let table = DegreeTable::new(crate::rateless::RAPTOR_DEGREE_TABLE).unwrap();
+            let enc = LtEncoder::with_table(count, table, stream).unwrap();
+            check_against_oracle(
+                &enc,
+                || {
+                    let mut payload = LtDecoder::new(enc.clone());
+                    let mut marks = LtDecoder::new(enc.clone());
+                    payload.engage_inactivation_eagerly();
+                    marks.engage_inactivation_eagerly();
+                    (payload, marks)
+                },
+                count,
+                first_seed,
+                3 * count,
+            )?;
+        }
     }
 }

@@ -191,9 +191,10 @@ impl<S: Symbol> RaptorDecoder<S> {
     fn new(code: &RaptorCode) -> Self {
         let mut lt = LtDecoder::new(code.lt().clone());
         // Raptor decoding is elimination-led: the fixed degree table leaves
-        // a few intermediates uncovered (the precode repairs those), so the
-        // finisher must not wait for a peeling avalanche that never comes.
-        lt.engage_finisher_eagerly();
+        // a few intermediates uncovered (the precode repairs those), so
+        // inactivation must not wait for a peeling avalanche that never
+        // comes.
+        lt.engage_inactivation_eagerly();
         RaptorDecoder {
             lt,
             inner: PeelingDecoder::new(code.precode().shared_cascade()),
@@ -205,9 +206,10 @@ impl<S: Symbol> RaptorDecoder<S> {
         self.inner.is_complete()
     }
 
-    /// The recovered source packets, once complete.
-    pub fn source(&self) -> Option<Vec<S>> {
-        self.inner.source()
+    /// Move the recovered source packets out, once complete (see
+    /// [`PeelingDecoder::take_source`]).
+    pub fn take_source(&mut self) -> Option<Vec<S>> {
+        self.inner.take_source()
     }
 
     /// LT symbols accepted, including duplicates.
@@ -349,7 +351,7 @@ mod tests {
             seed += 1;
             assert!(seed < 1000 + 10 * k as u64, "decode did not converge");
         }
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
     }
 
     #[test]
@@ -376,7 +378,7 @@ mod tests {
             seed += 1;
             assert!(seed < 10 * k as u64, "decode did not converge");
         }
-        assert_eq!(dec.source().unwrap(), src);
+        assert_eq!(dec.take_source().unwrap(), src);
     }
 
     #[test]
@@ -397,7 +399,7 @@ mod tests {
             seed += 1;
             assert!(seed < 10 * k as u64, "decode did not converge");
         }
-        assert_eq!(payload.source().unwrap(), src);
+        assert_eq!(payload.take_source().unwrap(), src);
     }
 
     #[test]

@@ -255,7 +255,7 @@ enum Backend {
         /// statistical strategy feeds them in batches).
         staged: Vec<(usize, Vec<u8>)>,
     },
-    Rateless(RatelessReceiver),
+    Rateless(Box<RatelessReceiver>),
 }
 
 /// A downloading client session for one announced session.
@@ -462,7 +462,7 @@ impl ClientSession {
             stats: DownloadStats::new_streaming(control.k),
             buffer_cap: receiver.max_equations(),
             control,
-            backend: Backend::Rateless(receiver),
+            backend: Backend::Rateless(Box::new(receiver)),
             attempt_margin: 0.06,
             controller: None,
             file: None,
@@ -661,11 +661,11 @@ impl ClientSession {
                     }
                 }
                 if decoder.is_complete() {
-                    // `source()` is Some whenever the decoder reports
+                    // `take_source()` is Some the first time a decoder reports
                     // completion; if that invariant ever broke, degrade to a
                     // failed attempt rather than panicking while processing
                     // untrusted traffic.
-                    if let Some(source) = decoder.source() {
+                    if let Some(source) = decoder.take_source() {
                         self.file = Some(reassemble_file(&source, self.control.file_len));
                         return ClientEvent::Complete;
                     }
@@ -700,12 +700,12 @@ impl ClientSession {
                     }
                     df_core::AddOutcome::Complete => {
                         self.stats.record_streaming(true);
-                        match receiver.source_packets() {
+                        match receiver.take_source_packets() {
                             Some(source) => {
                                 self.file = Some(reassemble_file(&source, self.control.file_len));
                                 ClientEvent::Complete
                             }
-                            // Completion without source() would be a decoder
+                            // Completion without source packets would be a decoder
                             // invariant break; degrade instead of panicking
                             // on untrusted traffic.
                             None => ClientEvent::Buffered,

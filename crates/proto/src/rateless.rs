@@ -316,13 +316,15 @@ impl RatelessReceiver {
         }
     }
 
-    /// The recovered source packets once complete, each truncated back to
-    /// the session packet size (Raptor intermediates may carry GF(2^16)
-    /// padding bytes that must not reach the reassembled file).
-    pub fn source_packets(&self) -> Option<Vec<Vec<u8>>> {
-        let mut packets = match &self.inner {
-            Inner::Lt(d) => d.source()?,
-            Inner::Raptor(d) => d.source()?,
+    /// Move the recovered source packets out once complete, each truncated
+    /// back to the session packet size (Raptor intermediates may carry
+    /// GF(2^16) padding bytes that must not reach the reassembled file).
+    /// The packets leave the decoder rather than being copied, so a second
+    /// call returns `None`.
+    pub fn take_source_packets(&mut self) -> Option<Vec<Vec<u8>>> {
+        let mut packets = match &mut self.inner {
+            Inner::Lt(d) => d.take_source()?,
+            Inner::Raptor(d) => d.take_source()?,
         };
         for p in &mut packets {
             p.truncate(self.packet_size);
@@ -393,7 +395,7 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "LT stream failed to converge");
         }
-        assert_eq!(rx.source_packets().unwrap(), source);
+        assert_eq!(rx.take_source_packets().unwrap(), source);
     }
 
     #[test]
@@ -418,7 +420,7 @@ mod tests {
         }
         // Intermediates carry padding at odd sizes; the receiver must hand
         // back exactly the original source packets regardless.
-        assert_eq!(rx.source_packets().unwrap(), source);
+        assert_eq!(rx.take_source_packets().unwrap(), source);
     }
 
     #[test]

@@ -89,6 +89,11 @@ pub trait Transport {
 }
 
 /// One participant's endpoint on a [`SimMulticast`] channel.
+///
+/// Dropping the endpoint detaches it: it leaves every group, its queued
+/// datagrams are freed, and its slot goes back to the channel for the next
+/// [`SimMulticast::endpoint`], so senders never queue for (or draw loss for)
+/// a receiver that is gone.
 #[derive(Debug)]
 pub struct SimEndpoint {
     inner: Arc<Mutex<SimInner>>,
@@ -107,10 +112,25 @@ struct ReceiverState {
 
 #[derive(Debug)]
 struct SimInner {
-    receivers: Vec<ReceiverState>,
+    /// One slot per endpoint ever attached; `None` once its endpoint is
+    /// dropped, until a new endpoint reuses it.
+    receivers: Vec<Option<ReceiverState>>,
+    /// Slots of dropped endpoints, reused before the table grows.
+    free: Vec<usize>,
     rng: StdRng,
     sent: u64,
     delivered: u64,
+}
+
+impl SimInner {
+    /// The live endpoint in slot `i`.  Only a live [`SimEndpoint`] holds a
+    /// slot index, and it frees the slot only when dropped, so the slot is
+    /// always occupied here.
+    fn receiver(&mut self, i: usize) -> &mut ReceiverState {
+        self.receivers[i]
+            .as_mut()
+            .expect("a live endpoint's slot is occupied")
+    }
 }
 
 /// A deterministic in-memory lossy multicast channel.
@@ -131,6 +151,7 @@ impl SimMulticast {
         SimMulticast {
             inner: Arc::new(Mutex::new(SimInner {
                 receivers: Vec::new(),
+                free: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
                 sent: 0,
                 delivered: 0,
@@ -146,14 +167,24 @@ impl SimMulticast {
     pub fn endpoint(&self, loss: f64) -> SimEndpoint {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
         let mut inner = self.inner.lock();
-        inner.receivers.push(ReceiverState {
+        let state = ReceiverState {
             loss,
             groups: Vec::new(),
             queue: VecDeque::new(),
-        });
+        };
+        let receiver = match inner.free.pop() {
+            Some(slot) => {
+                inner.receivers[slot] = Some(state);
+                slot
+            }
+            None => {
+                inner.receivers.push(Some(state));
+                inner.receivers.len() - 1
+            }
+        };
         SimEndpoint {
             inner: self.inner.clone(),
-            receiver: inner.receivers.len() - 1,
+            receiver,
         }
     }
 
@@ -166,44 +197,50 @@ impl SimMulticast {
     pub fn delivered(&self) -> u64 {
         self.inner.lock().delivered
     }
+
+    /// Endpoints currently attached (dropped ones excluded).
+    pub fn endpoints(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.receivers.len() - inner.free.len()
+    }
 }
 
 impl SimEndpoint {
     /// Number of datagrams waiting in this endpoint's queue.
     pub fn pending(&self) -> usize {
-        self.inner.lock().receivers[self.receiver].queue.len()
+        self.inner.lock().receiver(self.receiver).queue.len()
+    }
+}
+
+impl Drop for SimEndpoint {
+    fn drop(&mut self) {
+        let mut inner = self.inner.lock();
+        inner.receivers[self.receiver] = None;
+        inner.free.push(self.receiver);
     }
 }
 
 impl Transport for SimEndpoint {
     fn send(&mut self, group: u32, datagram: Bytes) {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         inner.sent += 1;
-        let mut deliveries = Vec::new();
-        for (i, r) in inner.receivers.iter().enumerate() {
-            if !r.groups.contains(&group) {
+        for r in inner.receivers.iter_mut().flatten() {
+            if !r.groups.contains(&group) || inner.rng.gen::<f64>() < r.loss {
                 continue;
             }
-            deliveries.push((i, r.loss));
-        }
-        for (i, loss) in deliveries {
-            if inner.rng.gen::<f64>() < loss {
-                continue;
-            }
-            inner.receivers[i]
-                .queue
-                .push_back((group, datagram.clone()));
+            r.queue.push_back((group, datagram.clone()));
             inner.delivered += 1;
         }
     }
 
     fn recv(&mut self) -> Option<(u32, Bytes)> {
-        self.inner.lock().receivers[self.receiver].queue.pop_front()
+        self.inner.lock().receiver(self.receiver).queue.pop_front()
     }
 
     fn join(&mut self, group: u32) -> std::io::Result<()> {
         let mut inner = self.inner.lock();
-        let groups = &mut inner.receivers[self.receiver].groups;
+        let groups = &mut inner.receiver(self.receiver).groups;
         if !groups.contains(&group) {
             groups.push(group);
         }
@@ -211,8 +248,9 @@ impl Transport for SimEndpoint {
     }
 
     fn leave(&mut self, group: u32) {
-        let mut inner = self.inner.lock();
-        inner.receivers[self.receiver]
+        self.inner
+            .lock()
+            .receiver(self.receiver)
             .groups
             .retain(|&g| g != group);
     }
@@ -291,5 +329,37 @@ mod tests {
         }
         assert_eq!(a.pending(), 2_000);
         assert!(b.pending() < 1_400 && b.pending() > 600);
+    }
+
+    #[test]
+    fn dropped_endpoints_detach_and_their_slots_are_reused() {
+        let net = SimMulticast::new(5);
+        let mut tx = net.endpoint(0.0);
+        let mut keeper = net.endpoint(0.0);
+        keeper.join(0).unwrap();
+        // Waves of receivers join, get traffic and are dropped while still
+        // joined — what a driver does with every finished client.
+        for wave in 0..20 {
+            let mut wave_eps: Vec<SimEndpoint> = (0..4).map(|_| net.endpoint(0.0)).collect();
+            for ep in &mut wave_eps {
+                ep.join(0).unwrap();
+            }
+            tx.send(0, Bytes::from_static(b"wave"));
+            assert!(wave_eps.iter().all(|ep| ep.pending() == 1), "wave {wave}");
+            drop(wave_eps);
+            assert_eq!(net.endpoints(), 2, "dropped endpoints stay attached");
+        }
+        // The slot table never grew past the peak of live endpoints.
+        assert_eq!(net.inner.lock().receivers.len(), 6);
+        // Sends after the churn reach only live endpoints.
+        let before = net.delivered();
+        tx.send(0, Bytes::from_static(b"after"));
+        assert_eq!(net.delivered() - before, 1);
+        assert_eq!(keeper.pending(), 21);
+        // A reused slot starts clean: no groups, no stale datagrams.
+        let fresh = net.endpoint(0.0);
+        assert_eq!(fresh.pending(), 0);
+        tx.send(0, Bytes::from_static(b"unjoined"));
+        assert_eq!(fresh.pending(), 0);
     }
 }

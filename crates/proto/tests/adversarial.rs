@@ -14,7 +14,7 @@
 //! CI fuzz smoke: deterministic, a few seconds, no corpus to manage.
 
 use bytes::Bytes;
-use df_core::{LtEncoder, PacketizedFile, LT_DEFAULT_C, LT_DEFAULT_DELTA};
+use df_core::{LtDecoder, LtEncoder, PacketizedFile, LT_DEFAULT_C, LT_DEFAULT_DELTA};
 use df_proto::{
     seed_to_words, ClientEvent, ClientSession, ControlRequest, ControlResponse, DataPacket,
     FountainServer, PacketHeader, RatelessMode, RatelessReceiver, ServerSession, SessionConfig,
@@ -486,6 +486,117 @@ fn rateless_colliding_neighbor_sets_reduce_cleanly() {
         assert!(rounds < 50, "collision flood poisoned the session");
     }
     assert_eq!(client.file().unwrap(), &data[..]);
+}
+
+#[test]
+fn rateless_post_gate_floods_keep_solver_work_per_arrival_bounded() {
+    // Past the engagement gate the LT decoder solves every arrival at once,
+    // inactivating columns instead of buffering.  An attacker who knows the
+    // stream seed can grind for maximum-degree equations (each one names
+    // many active columns, all but one of which must be inactivated) and for
+    // colliding neighbor sets (dense rows), and send them with garbage
+    // payloads.  The solver's own work counters must then stay within the
+    // bound it states, arrival by arrival:
+    //
+    // * an arrival of degree `d` inactivates at most `d − 1` columns, and
+    //   never more than `k` columns are inactivated in all;
+    // * an arrival adds at most one dense row, and a row costs at most two
+    //   row operations per inactive column.
+    let data = random_file(50_000, 21); // k = 100
+    let (server, _) = rateless_pair(&data, RatelessMode::Lt, 53);
+    let info = server.control_info().clone();
+    let k = info.k;
+    assert_eq!(k, 100);
+    let enc = LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, info.code_seed).unwrap();
+    let file = PacketizedFile::split(&data, info.packet_size).unwrap();
+    // The receiver's admission caps, applied to a bare decoder so the test
+    // can read the solver counters.
+    let caps = RatelessReceiver::for_lt(k, info.packet_size, info.code_seed).unwrap();
+    let mut dec = LtDecoder::<Vec<u8>>::new(enc.clone());
+    // An honest prefix up to the gate that never names symbols 0..32, so
+    // the decode cannot finish before many flood symbols have met the
+    // engaged solver.
+    let mut seed = 0u64;
+    while dec.received_distinct() < (k + k / 8) as u64 {
+        seed += 1;
+        if enc.equation(seed).neighbors.iter().all(|&i| i >= 32) {
+            dec.add_symbol(seed, enc.encode_symbol(seed, file.packets()).unwrap());
+        }
+    }
+    assert!(
+        dec.known() <= k - 32,
+        "the honest prefix must leave 0..32 open"
+    );
+    assert_eq!(
+        dec.pending_equations(),
+        0,
+        "an engaged solver buffers nothing"
+    );
+
+    // The flood: maximum-degree seeds interleaved with groups of seeds that
+    // share one neighbor set.
+    let mut heavy = Vec::new();
+    let mut buckets: BTreeMap<Vec<u32>, Vec<u64>> = BTreeMap::new();
+    for seed in 1_000_000..1_200_000u64 {
+        let mut neighbors = enc.equation(seed).neighbors;
+        if neighbors.len() >= 48 {
+            heavy.push(seed);
+        }
+        neighbors.sort_unstable();
+        buckets.entry(neighbors).or_default().push(seed);
+    }
+    let colliding: Vec<u64> = buckets
+        .into_values()
+        .filter(|seeds| seeds.len() >= 2)
+        .take(64)
+        .flatten()
+        .collect();
+    assert!(
+        heavy.len() >= 32 && colliding.len() >= 128,
+        "grind came up short"
+    );
+    let flood: Vec<u64> = heavy
+        .iter()
+        .zip(colliding.chunks(4))
+        .flat_map(|(&h, group)| std::iter::once(h).chain(group.iter().copied()))
+        .collect();
+
+    let mut rng = ChaCha8Rng::seed_from_u64(0xf10d);
+    let before_flood = dec.inactivated();
+    let mut fed = 0;
+    for &seed in &flood {
+        if dec.is_complete() {
+            break;
+        }
+        if dec.pending_equations() >= caps.max_equations()
+            || dec.pending_edges() >= caps.max_edges()
+        {
+            continue;
+        }
+        let degree = enc.equation(seed).degree();
+        let (inactivated, ops) = (dec.inactivated(), dec.dense_row_ops());
+        let junk: Vec<u8> = (0..info.packet_size).map(|_| rng.gen()).collect();
+        dec.add_symbol(seed, junk);
+        fed += 1;
+        let new_columns = dec.inactivated() - inactivated;
+        assert!(
+            new_columns < degree,
+            "seed {seed} of degree {degree} inactivated {new_columns} columns"
+        );
+        let row_ops = dec.dense_row_ops() - ops;
+        assert!(
+            row_ops <= 2 * dec.inactivated() as u64,
+            "seed {seed} cost {row_ops} dense-row operations over {} inactive columns",
+            dec.inactivated()
+        );
+        assert_eq!(dec.pending_equations(), 0);
+    }
+    assert!(fed >= 16, "only {fed} flood symbols reached the solver");
+    assert!(
+        dec.inactivated() > before_flood,
+        "the flood never forced an inactivation"
+    );
+    assert!(dec.inactivated() <= k);
 }
 
 #[test]

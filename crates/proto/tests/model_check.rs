@@ -350,3 +350,37 @@ fn sim_multicast_concurrent_endpoint_registration() {
         assert_eq!(net.delivered(), 2);
     });
 }
+
+/// An endpoint dropped while a sender races it: the send either reached the
+/// endpoint before it detached or skipped it — never a torn slot — and once
+/// the drop is done the channel holds nothing for it.  A new endpoint then
+/// reuses the freed slot and starts clean: no groups, no stale datagrams.
+#[test]
+fn sim_multicast_drop_vs_send() {
+    checked(40_000, || {
+        let net = SimMulticast::new(13);
+        let mut tx = net.endpoint(0.0);
+        let mut rx = net.endpoint(0.0);
+        rx.join(0).unwrap();
+        let dropper = thread::spawn(move || drop(rx));
+        tx.send(0, Bytes::from_static(b"racing"));
+        dropper.join().unwrap();
+        assert!(net.delivered() <= 1, "one send delivered twice");
+        assert_eq!(net.endpoints(), 1, "the dropped endpoint stayed attached");
+        let mut fresh = net.endpoint(0.0);
+        assert_eq!(net.endpoints(), 2);
+        assert!(
+            fresh.recv().is_none(),
+            "a reused slot kept a stale datagram"
+        );
+        let delivered = net.delivered();
+        tx.send(0, Bytes::from_static(b"unjoined"));
+        assert_eq!(net.delivered(), delivered, "a reused slot kept its groups");
+        fresh.join(0).unwrap();
+        tx.send(0, Bytes::from_static(b"joined"));
+        assert_eq!(
+            fresh.recv().map(|(_, d)| d),
+            Some(Bytes::from_static(b"joined"))
+        );
+    });
+}

@@ -41,7 +41,7 @@ fn main() {
             break;
         }
     }
-    let source = decoder.source().expect("decoding completed");
+    let source = decoder.take_source().expect("decoding completed");
     let recovered = reassemble_file(&source, data.len());
     assert_eq!(recovered, data);
     println!(
